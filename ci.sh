@@ -15,18 +15,15 @@
 # (DESIGN.md §9), once each with ARCKFS_DELEG_RINGS=0 (inline data
 # path, the delegation runtime fully off) and ARCKFS_DELEG_RINGS=4 (the
 # per-core SQ/CQ ring runtime arbitrating every large write, DESIGN.md
-# §10), and once each with ARCKFS_RANGE_LOCKS=0 (the legacy per-file
-# write lock and pointer-table mapping) and ARCKFS_RANGE_LOCKS=1 (the
-# ranged shared-file data path: extent tree + interval locks, DESIGN.md
-# §11). The batch_sweep smoke pins the fence-coalescing win (>= 4x
+# §10). The batch_sweep smoke pins the fence-coalescing win (>= 4x
 # create-path sfence reduction at batch 8); the alloc_scale smoke pins
 # the sharding win (>= 4x busiest-shard lock-acquisition reduction at 8
 # shards, a deterministic count); the delegate_scale smoke pins the ring
 # win (>= 2x 8-thread submit throughput over ticket-per-op, with
 # fences/op falling as the drain batch grows); the shared_file smoke
-# pins the range-lock win (>= 4x modelled 8-thread DWOM throughput over
-# the per-file-lock baseline, with whole-file lock acquisitions per op
-# falling). The service_storm smoke runs twice (DESIGN.md §12): once
+# runs the DWOM, fio-style sequential and DWAL shapes on the range-locked
+# extent path (DESIGN.md §11) and asserts every DWOM write crosses the
+# interval table. The service_storm smoke runs twice (DESIGN.md §12): once
 # with per-tenant quotas on (asserting the typed QuotaExceeded rejection
 # for the capped tenant while others proceed, and the cold-tenant p99
 # fairness bound under a 10x hot tenant) and once with quotas off
@@ -60,8 +57,6 @@ ARCKFS_BATCH=1 cargo test -q --workspace
 ARCKFS_ALLOC_SHARDS=1 cargo test -q --workspace
 ARCKFS_DELEG_RINGS=0 cargo test -q --workspace
 ARCKFS_DELEG_RINGS=4 cargo test -q --workspace
-ARCKFS_RANGE_LOCKS=0 ARCKFS_EXTENT=0 cargo test -q --workspace
-ARCKFS_RANGE_LOCKS=1 ARCKFS_EXTENT=1 cargo test -q --workspace
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin batch_sweep
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin alloc_scale
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin delegate_scale

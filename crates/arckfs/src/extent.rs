@@ -1,11 +1,11 @@
 //! Per-file extent trees: the crash-atomic block mapping behind the
 //! parallel data path (DESIGN.md §11).
 //!
-//! A regular file whose inode has a non-zero `extent_root` maps file
-//! blocks through a chain of **extent leaves** (one page each, linked via
-//! a next pointer at offset 0). Each leaf holds 24-byte records
-//! `(file_block_start, page_start, len)`; `len` is the record's commit
-//! marker, published *after* the other two fields persist, so a torn
+//! A regular file maps its blocks through a chain of **extent leaves**
+//! rooted at the inode's `extent_root` (0 until the first block is
+//! mapped): one page each, linked via a next pointer at offset 0. Each
+//! leaf holds 24-byte records `(file_block_start, page_start, len)`;
+//! `len` is the record's commit marker, published *after* the other two fields persist, so a torn
 //! insert is an invisible hole whose pages surface as benign `PageLeak`
 //! fsck residue — the §4.2 commit-marker protocol applied to the block
 //! map.
@@ -56,7 +56,6 @@ impl CachedRec {
 #[derive(Debug, Default)]
 pub struct ExtentCache {
     loaded: bool,
-    root: u64,
     /// `file_block → data page` with later records already resolved.
     map: BTreeMap<u64, u64>,
     /// Committed records in chain (= temporal) order.
@@ -73,11 +72,6 @@ impl ExtentCache {
     /// was released.
     pub fn invalidate(&mut self) {
         *self = ExtentCache::default();
-    }
-
-    /// Whether the file has any extent mapping (after a load).
-    pub fn has_extents(&self) -> bool {
-        self.root != 0
     }
 }
 
@@ -105,9 +99,7 @@ impl LibFs {
             return Ok(());
         }
         let ibase = self.geom.inode_offset(file.ino);
-        let root = mapping.read_u64(ibase + I_EXTENT_ROOT).map_err(map_fault)?;
-        cache.root = root;
-        let mut leaf = root;
+        let mut leaf = mapping.read_u64(ibase + I_EXTENT_ROOT).map_err(map_fault)?;
         let mut hops = 0u64;
         while leaf != 0 && hops <= self.geom.total_pages {
             hops += 1;
@@ -143,31 +135,23 @@ impl LibFs {
         Ok(())
     }
 
-    /// Look the block up in the extent mapping. `Ok(None)` when the file
-    /// has no extent chain at all (caller falls through to the legacy
-    /// direct/indirect map); `Ok(Some(0))` when the chain exists but the
-    /// block is a hole.
+    /// Look the block up in the extent mapping: its data page, or 0 for
+    /// a hole.
     pub(crate) fn extent_lookup(
         &self,
         file: &MemInode,
         mapping: &Mapping,
         idx: u64,
-    ) -> FsResult<Option<u64>> {
+    ) -> FsResult<u64> {
         {
             let cache = file.extents.read();
             if cache.loaded {
-                if !cache.has_extents() {
-                    return Ok(None);
-                }
-                return Ok(Some(cache.map.get(&idx).copied().unwrap_or(0)));
+                return Ok(cache.map.get(&idx).copied().unwrap_or(0));
             }
         }
         let mut cache = file.extents.write();
         self.extent_load(&mut cache, file, mapping)?;
-        if !cache.has_extents() {
-            return Ok(None);
-        }
-        Ok(Some(cache.map.get(&idx).copied().unwrap_or(0)))
+        Ok(cache.map.get(&idx).copied().unwrap_or(0))
     }
 
     /// Append one committed record to the chain (write lock held),
@@ -194,7 +178,6 @@ impl LibFs {
                 .map_err(map_fault)?;
             mapping.clwb(ibase + I_EXTENT_ROOT, 8).map_err(map_fault)?;
             mapping.sfence();
-            cache.root = leaf;
             cache.tail_leaf = leaf;
             cache.tail_slot = 0;
         } else if cache.tail_slot >= EXTENTS_PER_PAGE {
@@ -384,17 +367,13 @@ impl LibFs {
         Ok(freed)
     }
 
-    /// Every page owned by the extent chain — leaves plus all committed
-    /// records' runs — read straight from PM (the unlink path, which may
-    /// run without a loaded cache). Superseded-but-uncommitted residue
-    /// (`len == 0` records) contributes nothing; its pages were recycled
-    /// or will be reaped as leaks.
-    pub(crate) fn extent_collect_pages(
-        &self,
-        ino: u64,
-        mapping: &Mapping,
-        out: &mut Vec<u64>,
-    ) -> FsResult<()> {
+    /// Every page a file owns — its extent leaves plus all committed
+    /// records' runs — read straight from PM (for freeing on unlink, which
+    /// may run without a loaded cache), sorted and deduplicated.
+    /// Superseded-but-uncommitted residue (`len == 0` records) contributes
+    /// nothing; its pages were recycled or will be reaped as leaks.
+    pub(crate) fn file_collect_pages(&self, ino: u64, mapping: &Mapping) -> FsResult<Vec<u64>> {
+        let mut out = Vec::new();
         let ibase = self.geom.inode_offset(ino);
         let mut leaf = mapping.read_u64(ibase + I_EXTENT_ROOT).map_err(map_fault)?;
         let mut hops = 0u64;
@@ -413,6 +392,8 @@ impl LibFs {
             }
             leaf = mapping.read_u64(base + EP_NEXT).map_err(map_fault)?;
         }
-        Ok(())
+        out.sort_unstable();
+        out.dedup();
+        Ok(out)
     }
 }

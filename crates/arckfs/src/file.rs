@@ -1,6 +1,6 @@
-//! Regular-file data path: block mapping (extent tree or legacy direct /
-//! indirect / double-indirect pages), positional and vectored reads and
-//! writes, preallocation, and truncation.
+//! Regular-file data path: block mapping through the per-file extent
+//! tree (`crate::extent`), positional and vectored reads and writes,
+//! preallocation, and truncation.
 //!
 //! Data writes persist synchronously (§2.2: "all data and metadata
 //! operations are persisted synchronously, and `fsync()` returns
@@ -8,32 +8,20 @@
 //! go through non-temporal stores, modelling ArckFS's OdinFS-style I/O
 //! delegation for large transfers.
 //!
-//! ## Two locking disciplines (DESIGN.md §11)
+//! ## Range locks (DESIGN.md §11)
 //!
-//! With [`crate::Config::range_locks`] off, every data operation takes the
-//! per-file readers-writer lock (`MemInode::rw`) — all writers to one file
-//! serialize. With it on, operations acquire only the byte ranges they
-//! touch from the per-inode [`crate::range_lock::RangeLockTable`]:
-//! disjoint-range writers run fully parallel, truncate and the §4.3
-//! release quiesce take the whole file, and appends revalidate the EOF
-//! under their acquired range (closing the same TOCTOU `fix_append_atomic`
-//! closes under the file lock). Delegated chunks (DESIGN.md §10) inherit
-//! the submitter's range ownership: tickets are joined before the range
-//! guard drops.
-//!
-//! ## Two block mappings
-//!
-//! The read path dispatches on the file's on-PM state, not on
-//! configuration: blocks resolve through the extent chain first
-//! (`crate::extent`), then through the legacy direct/indirect table, so a
-//! file written under either mapping stays readable under both. New
-//! allocations go to the extent tree when [`crate::Config::extent`] is on
-//! (or the file already has a chain), to the legacy table otherwise.
+//! Every data operation acquires only the byte ranges it touches from the
+//! per-inode [`crate::range_lock::RangeLockTable`]: disjoint-range writers
+//! run fully parallel, truncate and the §4.3 release quiesce take the
+//! whole file, and appends revalidate the EOF under their acquired range
+//! (the TOCTOU `fix_append_atomic` closes). Delegated chunks (DESIGN.md
+//! §10) inherit the submitter's range ownership: tickets are joined before
+//! the range guard drops.
 
 use std::sync::atomic::Ordering;
 
 use pmem::{Mapping, PAGE_SIZE};
-use trio::format::{I_DINDIRECT, I_DIRECT, I_INDIRECT, I_SIZE, NDIRECT, PTRS_PER_PAGE};
+use trio::format::I_SIZE;
 use vfs::{FsError, FsResult};
 
 use crate::dir::map_fault;
@@ -41,25 +29,18 @@ use crate::inode::{InodeState, MemInode};
 use crate::libfs::LibFs;
 use crate::range_lock::{Range, RangeGuard};
 
-/// Sparse-block cap for extent-mapped files (16 TiB of 4 KiB blocks) —
-/// far past anything the device can back, but it keeps
-/// [`FsError::FileTooBig`] a typed, testable condition on both mappings.
+/// Sparse-block cap for regular files (16 TiB of 4 KiB blocks) — far
+/// past anything the device can back, but it keeps
+/// [`FsError::FileTooBig`] a typed, testable condition.
 pub(crate) const EXTENT_MAX_BLOCKS: u64 = 1 << 32;
 
-/// Held data-path exclusion: the whole-file write lock (legacy) or a
-/// range-lock acquisition (DESIGN.md §11). Dropping it releases either.
-enum WriteGuard<'a> {
-    File(#[allow(dead_code)] parking_lot::RwLockWriteGuard<'a, ()>),
-    Range(#[allow(dead_code)] RangeGuard<'a>),
-}
-
 impl LibFs {
-    /// §4.3 state check, run once the data-path exclusion is held: the
-    /// patched release takes the same exclusion (the file lock, or the
-    /// whole-file range) before unmapping, so an `Acquired` observed here
-    /// cannot turn stale until the guard drops. A `Released` observation
-    /// turns into the internal retry sentinel (the caller re-acquires and
-    /// replays) instead of the bus error the original artifact dies with.
+    /// §4.3 state check, run once the data-path range is held: the
+    /// patched release takes the whole-file range before unmapping, so an
+    /// `Acquired` observed here cannot turn stale until the guard drops. A
+    /// `Released` observation turns into the internal retry sentinel (the
+    /// caller re-acquires and replays) instead of the bus error the
+    /// original artifact dies with.
     fn file_release_check(&self, file: &MemInode) -> FsResult<()> {
         if self.config.fix_release_sync && file.state() != InodeState::Acquired {
             return Err(FsError::Released { ino: file.ino });
@@ -67,27 +48,28 @@ impl LibFs {
         Ok(())
     }
 
-    /// Acquire write-side exclusion over `ranges` (merged into the
-    /// minimal set) and run the §4.3 release check under it.
-    fn write_guard<'a>(&self, file: &'a MemInode, ranges: Vec<Range>) -> FsResult<WriteGuard<'a>> {
-        let g = if self.config.range_locks {
-            crate::inject::point("file.write.range_lock");
-            let g = file.ranges.acquire_ranges(ranges, true);
-            self.count_range_lock();
-            WriteGuard::Range(g)
-        } else {
-            self.count_lock();
-            WriteGuard::File(file.rw.write())
-        };
+    /// Acquire the write side of `ranges` (merged into the minimal set)
+    /// and run the §4.3 release check under it.
+    fn write_guard<'a>(&self, file: &'a MemInode, ranges: Vec<Range>) -> FsResult<RangeGuard<'a>> {
+        crate::inject::point("file.write.range_lock");
+        let g = file.ranges.acquire_ranges(ranges, true);
+        self.count_range_lock();
         self.file_release_check(file)?;
         Ok(g)
     }
 
-    /// Resolve the data page backing block `idx` of the file: extent
-    /// mapping first (if the file has a chain), legacy direct/indirect
-    /// table second. With `alloc`, missing blocks are allocated and
-    /// linked through the configured mapping; otherwise 0 is returned for
-    /// holes.
+    /// Acquire the read side of `range` and run the §4.3 release check
+    /// under it.
+    fn read_guard<'a>(&self, file: &'a MemInode, range: Range) -> FsResult<RangeGuard<'a>> {
+        let g = file.ranges.acquire(range, false);
+        self.count_range_lock();
+        self.file_release_check(file)?;
+        Ok(g)
+    }
+
+    /// Resolve the data page backing block `idx` of the file through its
+    /// extent tree. With `alloc`, a missing block gets a fresh page linked
+    /// by a crash-atomic extent record; otherwise 0 is returned for holes.
     pub(crate) fn file_block_page(
         &self,
         file: &MemInode,
@@ -95,115 +77,15 @@ impl LibFs {
         idx: u64,
         alloc: bool,
     ) -> FsResult<u64> {
-        let ext = self.extent_lookup(file, mapping, idx)?;
-        if let Some(p) = ext {
-            if p != 0 {
-                return Ok(p);
-            }
-        }
-        let legacy = self.legacy_block_page(file.ino, mapping, idx, false, false)?;
-        if legacy != 0 || !alloc {
-            return Ok(legacy);
-        }
-        self.file_alloc_block(file, mapping, idx, ext.is_some())
-    }
-
-    /// Allocate and link a fresh data page for block `idx`. Extent files
-    /// (and extent-configured LibFSes) append a crash-atomic record;
-    /// legacy files fill the direct/indirect table under `file.meta` so
-    /// concurrent range writers cannot double-materialize a pointer page.
-    fn file_alloc_block(
-        &self,
-        file: &MemInode,
-        mapping: &Mapping,
-        idx: u64,
-        has_chain: bool,
-    ) -> FsResult<u64> {
-        if self.config.extent || has_chain {
-            if idx >= EXTENT_MAX_BLOCKS {
-                return Err(FsError::FileTooBig { block: idx });
-            }
-            let page = self.alloc_page()?;
-            self.extent_insert(file, mapping, idx, page)?;
-            return Ok(page);
-        }
-        // The legacy table's check-then-allocate on pointer slots was
-        // safe under the whole-file lock; under range locks two disjoint
-        // writers could race it, so the mutation runs under the short
-        // per-inode meta lock.
-        let _m = if self.config.range_locks {
-            Some(file.meta.lock())
-        } else {
-            None
-        };
-        self.legacy_block_page(file.ino, mapping, idx, true, true)
-    }
-
-    /// Legacy direct/indirect resolution. `strict` turns an out-of-range
-    /// block into [`FsError::FileTooBig`]; non-strict lookups report a
-    /// hole instead (extent-mapped files legitimately exceed this cap).
-    fn legacy_block_page(
-        &self,
-        ino: u64,
-        mapping: &Mapping,
-        idx: u64,
-        alloc: bool,
-        strict: bool,
-    ) -> FsResult<u64> {
-        let ibase = self.geom.inode_offset(ino);
-        let direct_cap = NDIRECT as u64;
-        let ind_cap = direct_cap + PTRS_PER_PAGE;
-        let dind_cap = ind_cap + PTRS_PER_PAGE * PTRS_PER_PAGE;
-
-        // Locate the slot (device offset) holding the page pointer for idx,
-        // materializing indirect pages as needed.
-        let slot = if idx < direct_cap {
-            ibase + I_DIRECT + 8 * idx
-        } else if idx < ind_cap {
-            let ind = self.ensure_ptr_page(mapping, ibase + I_INDIRECT, alloc)?;
-            if ind == 0 {
-                return Ok(0);
-            }
-            ind * PAGE_SIZE as u64 + 8 * (idx - direct_cap)
-        } else if idx < dind_cap {
-            let dind = self.ensure_ptr_page(mapping, ibase + I_DINDIRECT, alloc)?;
-            if dind == 0 {
-                return Ok(0);
-            }
-            let rel = idx - ind_cap;
-            let l1_slot = dind * PAGE_SIZE as u64 + 8 * (rel / PTRS_PER_PAGE);
-            let l1 = self.ensure_ptr_page(mapping, l1_slot, alloc)?;
-            if l1 == 0 {
-                return Ok(0);
-            }
-            l1 * PAGE_SIZE as u64 + 8 * (rel % PTRS_PER_PAGE)
-        } else if strict {
-            return Err(FsError::FileTooBig { block: idx });
-        } else {
-            return Ok(0);
-        };
-
-        let page = mapping.read_u64(slot).map_err(map_fault)?;
+        let page = self.extent_lookup(file, mapping, idx)?;
         if page != 0 || !alloc {
             return Ok(page);
         }
-        let page = self.alloc_page()?;
-        mapping.write_u64(slot, page).map_err(map_fault)?;
-        mapping.clwb(slot, 8).map_err(map_fault)?;
-        Ok(page)
-    }
-
-    /// Read a pointer slot; when `alloc` and it is empty, allocate a fresh
-    /// zeroed pointer page and link it.
-    fn ensure_ptr_page(&self, mapping: &Mapping, slot: u64, alloc: bool) -> FsResult<u64> {
-        let cur = mapping.read_u64(slot).map_err(map_fault)?;
-        if cur != 0 || !alloc {
-            return Ok(cur);
+        if idx >= EXTENT_MAX_BLOCKS {
+            return Err(FsError::FileTooBig { block: idx });
         }
         let page = self.alloc_page()?;
-        self.zero_page(mapping, page)?;
-        mapping.write_u64(slot, page).map_err(map_fault)?;
-        mapping.clwb(slot, 8).map_err(map_fault)?;
+        self.extent_insert(file, mapping, idx, page)?;
         Ok(page)
     }
 
@@ -245,15 +127,7 @@ impl LibFs {
         buf: &mut [u8],
         offset: u64,
     ) -> FsResult<usize> {
-        if self.config.range_locks {
-            let _g = file.ranges.acquire(Range::of(offset, buf.len()), false);
-            self.count_range_lock();
-            self.file_release_check(file)?;
-            return self.file_read_body(file, buf, offset);
-        }
-        self.count_lock();
-        let _r = file.rw.read();
-        self.file_release_check(file)?;
+        let _g = self.read_guard(file, Range::of(offset, buf.len()))?;
         self.file_read_body(file, buf, offset)
     }
 
@@ -287,7 +161,7 @@ impl LibFs {
         Ok(want)
     }
 
-    /// Vectored positional read: one shared exclusion over the whole span,
+    /// Vectored positional read: one shared range over the whole span,
     /// then every buffer filled at its consecutive offset.
     pub(crate) fn file_read_vectored(
         &self,
@@ -296,27 +170,16 @@ impl LibFs {
         offset: u64,
     ) -> FsResult<usize> {
         let total: usize = bufs.iter().map(|b| b.len()).sum();
-        let mut read_all = |fs: &Self| -> FsResult<usize> {
-            let mut done = 0usize;
-            for buf in bufs.iter_mut() {
-                let n = fs.file_read_body(file, buf, offset + done as u64)?;
-                done += n;
-                if n < buf.len() {
-                    break; // EOF inside this buffer
-                }
+        let _g = self.read_guard(file, Range::of(offset, total))?;
+        let mut done = 0usize;
+        for buf in bufs.iter_mut() {
+            let n = self.file_read_body(file, buf, offset + done as u64)?;
+            done += n;
+            if n < buf.len() {
+                break; // EOF inside this buffer
             }
-            Ok(done)
-        };
-        if self.config.range_locks {
-            let _g = file.ranges.acquire(Range::of(offset, total), false);
-            self.count_range_lock();
-            self.file_release_check(file)?;
-            return read_all(self);
         }
-        self.count_lock();
-        let _r = file.rw.read();
-        self.file_release_check(file)?;
-        read_all(self)
+        Ok(done)
     }
 
     /// Positional write; extends the file, persists synchronously.
@@ -333,7 +196,7 @@ impl LibFs {
     }
 
     /// Vectored positional write: all iovecs land contiguously at
-    /// `offset` under **one** exclusion acquisition, with one trailing
+    /// `offset` under **one** range acquisition, with one trailing
     /// fence and one size publication. Large totals go through the
     /// delegation rings as a single submit batch spanning every iovec.
     pub(crate) fn file_write_vectored(
@@ -358,21 +221,10 @@ impl LibFs {
     pub(crate) fn file_append_vectored(&self, file: &MemInode, bufs: &[&[u8]]) -> FsResult<u64> {
         let total: usize = bufs.iter().map(|b| b.len()).sum();
         if !self.config.fix_append_atomic {
-            // Buggy baseline: EOF snapshot outside the exclusion.
+            // Buggy baseline: EOF snapshot outside the range lock.
             let offset = self.file_size(file, &file.mapping_handle())?;
             crate::inject::point("file.append.offset_read");
             self.file_write_vectored(file, bufs, offset)?;
-            return Ok(offset);
-        }
-        if !self.config.range_locks {
-            self.count_lock();
-            let _w = file.rw.write();
-            self.file_release_check(file)?;
-            let mapping = file.mapping_handle();
-            let offset = self.file_size(file, &mapping)?;
-            crate::inject::point("file.append.offset_read");
-            inject::point_file_write();
-            self.file_write_vectored_body(file, &mapping, bufs, offset, total)?;
             return Ok(offset);
         }
         loop {
@@ -390,7 +242,7 @@ impl LibFs {
         }
     }
 
-    /// Store, fence, and size-publish a gather with the exclusion already
+    /// Store, fence, and size-publish a gather with the range already
     /// held: one delegation batch (or one span loop), one trailing fence,
     /// one size publication for the whole vector.
     fn file_write_vectored_body(
@@ -437,35 +289,16 @@ impl LibFs {
 
     /// `O_APPEND` write. Returns the offset the data landed at.
     ///
-    /// Under the file lock, the EOF is read and the write performed under
-    /// *one* hold, so two concurrent appenders can never snapshot the same
-    /// end-of-file and overlap. Under range locks the appender acquires
-    /// the range at its EOF snapshot and **revalidates** the EOF under the
-    /// acquisition, retrying on a lost race — same guarantee, no file-wide
-    /// lock. (The pre-`fix_append_atomic` path computes the offset from a
-    /// size read taken before any exclusion — the TOCTOU schedmc flushed
-    /// out — and is preserved under both disciplines.)
+    /// The appender snapshots the EOF, acquires `[EOF, EOF+len)`, and
+    /// **revalidates** the EOF under the acquisition, retrying on a lost
+    /// race, so two concurrent appenders can never land on the same
+    /// end-of-file. The write goes through the copy-on-write tail. (The
+    /// pre-`fix_append_atomic` path computes the offset from a size read
+    /// taken before the range lock — the TOCTOU schedmc flushed out.)
     pub(crate) fn file_append(&self, file: &MemInode, data: &[u8]) -> FsResult<u64> {
-        if self.config.range_locks {
-            return self.file_append_ranged(file, data);
-        }
-        self.count_lock();
-        let _w = file.rw.write();
-        self.file_release_check(file)?;
-        let mapping = file.mapping_handle();
-        let offset = self.file_size(file, &mapping)?;
-        crate::inject::point("file.append.offset_read");
-        inject::point_file_write();
-        self.file_write_locked(file, &mapping, data, offset)?;
-        Ok(offset)
-    }
-
-    /// Range-locked append: snapshot EOF, lock `[EOF, EOF+len)`,
-    /// revalidate, write through the copy-on-write tail.
-    fn file_append_ranged(&self, file: &MemInode, data: &[u8]) -> FsResult<u64> {
         if !self.config.fix_append_atomic {
             // The buggy baseline: the offset snapshot happens before (and
-            // unprotected by) the exclusion, so two appenders can overlap.
+            // unprotected by) the range lock, so two appenders can overlap.
             let offset = self.file_size(file, &file.mapping_handle())?;
             crate::inject::point("file.append.offset_read");
             let _g = self.write_guard(file, vec![Range::of(offset, data.len())])?;
@@ -495,7 +328,7 @@ impl LibFs {
     /// extent record is atomically remapped — so a crash at any point
     /// leaves either the old tail or a fully-written new one, never a
     /// partially appended page. Falls back to the in-place write when the
-    /// block is not extent-mapped (or sits mid-run).
+    /// block is a hole (or sits mid-run).
     fn file_write_cow(
         &self,
         file: &MemInode,
@@ -508,10 +341,10 @@ impl LibFs {
             return self.file_write_locked(file, mapping, data, offset);
         }
         let idx = offset / PAGE_SIZE as u64;
-        let old_page = match self.extent_lookup(file, mapping, idx)? {
-            Some(p) if p != 0 => p,
-            _ => return self.file_write_locked(file, mapping, data, offset),
-        };
+        let old_page = self.extent_lookup(file, mapping, idx)?;
+        if old_page == 0 {
+            return self.file_write_locked(file, mapping, data, offset);
+        }
 
         let n = (PAGE_SIZE - in_page).min(data.len());
         let new_page = self.alloc_page()?;
@@ -546,8 +379,8 @@ impl LibFs {
         Ok(data.len())
     }
 
-    /// Body of a positional write, with the data-path exclusion already
-    /// held and the release check done.
+    /// Body of a positional write, with the range already held and the
+    /// release check done.
     fn file_write_locked(
         &self,
         file: &MemInode,
@@ -702,9 +535,8 @@ impl LibFs {
 
     /// Preallocate backing pages for `[offset, offset + len)` through the
     /// sharded allocator and extend the file size over the region (which
-    /// therefore reads as zeroes until written). Extent-configured files
-    /// get the reservation as contiguous runs where the pool delivers
-    /// contiguous pages.
+    /// therefore reads as zeroes until written). The reservation lands as
+    /// contiguous extent runs where the pool delivers contiguous pages.
     pub(crate) fn file_fallocate(&self, file: &MemInode, offset: u64, len: u64) -> FsResult<()> {
         if len == 0 {
             return Ok(());
@@ -713,6 +545,9 @@ impl LibFs {
         let mapping = file.mapping_handle();
         let first = offset / PAGE_SIZE as u64;
         let last = (offset + len - 1) / PAGE_SIZE as u64;
+        if last >= EXTENT_MAX_BLOCKS {
+            return Err(FsError::FileTooBig { block: last });
+        }
 
         let mut missing: Vec<u64> = Vec::new();
         for idx in first..=last {
@@ -720,41 +555,23 @@ impl LibFs {
                 missing.push(idx);
             }
         }
-        let chain = self.extent_lookup(file, &mapping, first)?.is_some();
-        if self.config.extent || chain {
-            if last >= EXTENT_MAX_BLOCKS {
-                return Err(FsError::FileTooBig { block: last });
+        // Group consecutive missing blocks, allocate their pages, and
+        // reserve each group as (at most a few) extent records.
+        let mut i = 0usize;
+        while i < missing.len() {
+            let mut j = i + 1;
+            while j < missing.len() && missing[j] == missing[j - 1] + 1 {
+                j += 1;
             }
-            // Group consecutive missing blocks, allocate their pages, and
-            // reserve each group as (at most a few) extent records.
-            let mut i = 0usize;
-            while i < missing.len() {
-                let mut j = i + 1;
-                while j < missing.len() && missing[j] == missing[j - 1] + 1 {
-                    j += 1;
-                }
-                let mut pages = Vec::with_capacity(j - i);
-                for _ in i..j {
-                    let p = self.alloc_page()?;
-                    self.zero_page(&mapping, p)?;
-                    pages.push(p);
-                }
-                mapping.sfence();
-                self.extent_insert_run(file, &mapping, missing[i], &pages)?;
-                i = j;
-            }
-        } else {
-            for &idx in &missing {
-                let _m = if self.config.range_locks {
-                    Some(file.meta.lock())
-                } else {
-                    None
-                };
-                let p = self.legacy_block_page(file.ino, &mapping, idx, true, true)?;
-                drop(_m);
+            let mut pages = Vec::with_capacity(j - i);
+            for _ in i..j {
+                let p = self.alloc_page()?;
                 self.zero_page(&mapping, p)?;
+                pages.push(p);
             }
             mapping.sfence();
+            self.extent_insert_run(file, &mapping, missing[i], &pages)?;
+            i = j;
         }
         self.file_publish_size(file, &mapping, offset + len)?;
         Ok(())
@@ -762,41 +579,22 @@ impl LibFs {
 
     /// Truncate (shrink or extend-with-holes) to `size`. Freed pages return
     /// to the LibFS's local pool. This is the DWTL workload's operation.
-    /// Takes the whole file in either discipline.
+    /// Takes the whole file.
     pub(crate) fn file_truncate(&self, file: &MemInode, size: u64) -> FsResult<()> {
         let _g = self.write_guard(file, vec![Range::all()])?;
         let mapping = file.mapping_handle();
-        let legacy_cap = NDIRECT as u64 + PTRS_PER_PAGE + PTRS_PER_PAGE * PTRS_PER_PAGE;
         // The same typed boundary write_at and fallocate enforce: a grow
-        // past the active mapping's capacity is EFBIG, not a later panic.
-        let cap_blocks = if self.config.extent {
-            EXTENT_MAX_BLOCKS
-        } else {
-            legacy_cap
-        };
-        if size.div_ceil(PAGE_SIZE as u64) > cap_blocks {
+        // past the block cap is EFBIG, not a later panic.
+        if size.div_ceil(PAGE_SIZE as u64) > EXTENT_MAX_BLOCKS {
             return Err(FsError::FileTooBig {
                 block: (size - 1) / PAGE_SIZE as u64,
             });
         }
         let old = self.file_size(file, &mapping)?;
         if size < old {
+            // Decommit runs at and beyond the boundary.
             let first_dead = size.div_ceil(PAGE_SIZE as u64);
-            // Extent part: decommit runs at and beyond the boundary.
-            if self.extent_lookup(file, &mapping, 0)?.is_some() {
-                let freed = self.extent_truncate_blocks(file, &mapping, first_dead)?;
-                self.recycle_pages(freed);
-            }
-            // Legacy part, bounded by the legacy mapping's capacity.
-            let last = ((old - 1) / PAGE_SIZE as u64).min(legacy_cap.saturating_sub(1));
-            let mut freed = Vec::new();
-            for idx in first_dead..=last {
-                let page = self.legacy_block_page(file.ino, &mapping, idx, false, false)?;
-                if page != 0 {
-                    self.clear_block_ptr(file, &mapping, idx)?;
-                    freed.push(page);
-                }
-            }
+            let freed = self.extent_truncate_blocks(file, &mapping, first_dead)?;
             self.recycle_pages(freed);
             // Zero the tail of the boundary page: bytes past the new end
             // must read as zero if the file is later re-extended (POSIX).
@@ -819,77 +617,6 @@ impl LibFs {
         mapping.sfence();
         file.cached_size.store(size, Ordering::SeqCst);
         Ok(())
-    }
-
-    /// Zero the legacy pointer slot for block `idx` (used by truncate).
-    fn clear_block_ptr(&self, file: &MemInode, mapping: &Mapping, idx: u64) -> FsResult<()> {
-        let ibase = self.geom.inode_offset(file.ino);
-        let direct_cap = NDIRECT as u64;
-        let ind_cap = direct_cap + PTRS_PER_PAGE;
-        let slot = if idx < direct_cap {
-            ibase + I_DIRECT + 8 * idx
-        } else if idx < ind_cap {
-            let ind = mapping.read_u64(ibase + I_INDIRECT).map_err(map_fault)?;
-            if ind == 0 {
-                return Ok(());
-            }
-            ind * PAGE_SIZE as u64 + 8 * (idx - direct_cap)
-        } else {
-            let dind = mapping.read_u64(ibase + I_DINDIRECT).map_err(map_fault)?;
-            if dind == 0 {
-                return Ok(());
-            }
-            let rel = idx - ind_cap;
-            let l1 = mapping
-                .read_u64(dind * PAGE_SIZE as u64 + 8 * (rel / PTRS_PER_PAGE))
-                .map_err(map_fault)?;
-            if l1 == 0 {
-                return Ok(());
-            }
-            l1 * PAGE_SIZE as u64 + 8 * (rel % PTRS_PER_PAGE)
-        };
-        mapping.write_u64(slot, 0).map_err(map_fault)?;
-        mapping.clwb(slot, 8).map_err(map_fault)?;
-        Ok(())
-    }
-
-    /// Collect every data page of a file (for freeing on unlink): the
-    /// whole extent chain (leaves and runs) plus the size-bounded legacy
-    /// table and its pointer pages.
-    pub(crate) fn file_collect_pages(&self, ino: u64, mapping: &Mapping) -> FsResult<Vec<u64>> {
-        let mut out = Vec::new();
-        self.extent_collect_pages(ino, mapping, &mut out)?;
-        let size = mapping
-            .read_u64(self.geom.inode_offset(ino) + I_SIZE)
-            .map_err(map_fault)?;
-        let legacy_cap = NDIRECT as u64 + PTRS_PER_PAGE + PTRS_PER_PAGE * PTRS_PER_PAGE;
-        let npages = size.div_ceil(PAGE_SIZE as u64).min(legacy_cap);
-        for idx in 0..npages {
-            let p = self.legacy_block_page(ino, mapping, idx, false, false)?;
-            if p != 0 {
-                out.push(p);
-            }
-        }
-        let ibase = self.geom.inode_offset(ino);
-        for field in [I_INDIRECT, I_DINDIRECT] {
-            let p = mapping.read_u64(ibase + field).map_err(map_fault)?;
-            if p != 0 {
-                out.push(p);
-                if field == I_DINDIRECT {
-                    for i in 0..PTRS_PER_PAGE {
-                        let l1 = mapping
-                            .read_u64(p * PAGE_SIZE as u64 + 8 * i)
-                            .map_err(map_fault)?;
-                        if l1 != 0 {
-                            out.push(l1);
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
     }
 }
 

@@ -178,10 +178,9 @@ pub struct MemInode {
     pub cached_nlink: AtomicU64,
     /// In-DRAM mirror of the inode's sequence counter.
     pub seq: AtomicU64,
-    /// Content lock for regular files (readers-writer). With
-    /// [`crate::Config::range_locks`] the data path uses [`MemInode::ranges`]
-    /// instead; this lock is then only taken (in write mode) by the §4.3
-    /// release/revive quiesce.
+    /// Directory content lock (readers-writer): held in read mode by
+    /// `remove_in_dir` against the §4.3 release/revive quiesce, which takes
+    /// it in write mode. The file data path uses [`MemInode::ranges`].
     pub rw: RwLock<()>,
     /// Metadata update lock (size/seq/block-map fields in the PM inode).
     pub meta: Mutex<()>,

@@ -81,8 +81,8 @@ pub struct LibFs {
     pending_renames: Mutex<HashMap<u64, HashSet<u64>>>,
     /// Shared-state lock acquisitions (for the scalability model).
     shared_lock_acqs: AtomicU64,
-    /// Byte-range lock acquisitions (DESIGN.md §11); counted separately so
-    /// the model can watch per-file lock traffic fall as ranges take over.
+    /// Byte-range lock acquisitions on the file data path (DESIGN.md §11),
+    /// counted separately from the shared-state locks.
     range_lock_acqs: AtomicU64,
     /// Extent records appended or coalesced into per-file chains.
     extent_inserts: AtomicU64,
@@ -107,7 +107,16 @@ impl std::fmt::Debug for LibFs {
 
 impl LibFs {
     /// Mount a LibFS on an existing kernel, running as `uid`.
+    ///
+    /// Fails with [`FsError::Unsupported`] when [`Config::extent`] or
+    /// [`Config::range_locks`] is `false`: the extent tree under range
+    /// locks is the only regular-file data path.
     pub fn mount(kernel: Arc<Kernel>, config: Config, uid: u32) -> FsResult<Arc<LibFs>> {
+        if !config.extent || !config.range_locks {
+            return Err(FsError::Unsupported(
+                "Config::extent and Config::range_locks must both be true",
+            ));
+        }
         let (id, base_mapping) = kernel.register_libfs(uid);
         let geom = *kernel.geometry();
         let label = format!("{}#{}", config.label(), id.0);
@@ -315,27 +324,23 @@ impl LibFs {
     /// re-acquires") without replacing its [`MemInode`].
     ///
     /// The revival takes the same locks, in the same order, as the patched
-    /// release quiesce (file lock → bucket table → tails → metadata) and
-    /// holds them across the kernel acquire *and* the auxiliary-state
-    /// rebuild. That closes the window where a concurrent release could
-    /// invalidate the freshly granted mapping between the grant and the
-    /// moment the inode flips back to [`InodeState::Acquired`].
+    /// release quiesce (whole-file range → directory lock → bucket table →
+    /// tails → metadata) and holds them across the kernel acquire *and*
+    /// the auxiliary-state rebuild. That closes the window where a
+    /// concurrent release could invalidate the freshly granted mapping
+    /// between the grant and the moment the inode flips back to
+    /// [`InodeState::Acquired`].
     pub(crate) fn revive_inode(&self, mi: &Arc<MemInode>) -> FsResult<Arc<MemInode>> {
         let _serial = self.revive_lock.lock();
         if mi.state() == InodeState::Acquired {
             return Ok(mi.clone()); // another thread got here first
         }
-        // Range-mode data ops never touch `rw`, so the whole-file range is
+        // File data ops hold only their ranges, so the whole-file range is
         // their quiesce point. Taken before the metadata lock — writers
         // hold their range while publishing the size under `meta`, so the
         // reverse order would deadlock (same order as the release quiesce).
-        let _ranges = self
-            .config
-            .range_locks
-            .then(|| {
-                self.count_range_lock();
-                mi.ranges.acquire_all()
-            });
+        self.count_range_lock();
+        let _ranges = mi.ranges.acquire_all();
         let _w = mi.rw.write();
         let mut table = mi.dir_state().map(|ds| {
             self.count_lock();
@@ -885,18 +890,13 @@ impl LibFs {
         if self.config.fix_release_sync {
             // §4.3 PATCH: quiesce the inode under all its locks, then
             // release; retain the auxiliary state. Lock order matches the
-            // operations' nesting (whole-file range, file lock, buckets,
-            // tails, metadata) so an in-flight create completes rather
-            // than deadlocking. Range-mode writers never take `rw`, so
-            // the whole-file range acquisition is what waits them out
-            // (DESIGN.md §11).
-            let _ranges = self
-                .config
-                .range_locks
-                .then(|| {
-                    self.count_range_lock();
-                    mi.ranges.acquire_all()
-                });
+            // operations' nesting (whole-file range, directory lock,
+            // buckets, tails, metadata) so an in-flight create completes
+            // rather than deadlocking. File data operations hold only
+            // their ranges, so the whole-file range acquisition is what
+            // waits them out (DESIGN.md §11).
+            self.count_range_lock();
+            let _ranges = mi.ranges.acquire_all();
             let _w = mi.rw.write();
             let mut _table_guard = None;
             let mut tail_guards = Vec::new();
@@ -1009,7 +1009,7 @@ impl LibFs {
                     .map(|m| m.ino)
                     .collect()
             };
-            let owned: Vec<u64> = owned
+            let owned: HashSet<u64> = owned
                 .into_iter()
                 .filter(|&i| self.kernel.owns(self.id, i))
                 .collect();
@@ -1309,11 +1309,11 @@ impl LibFs {
     /// Remove `name` under an already-resolved parent directory — the
     /// shared tail of `unlink`/`rmdir` and the handle-relative `unlink_at`.
     fn remove_in_dir(&self, parent: &Arc<MemInode>, name: &str, want_dir: bool) -> FsResult<()> {
-        // §4.3: hold the parent's file lock in read mode across the removal
-        // and the post-removal teardown. The release quiesce takes it in
-        // write mode first, so the mapping the child's core state is torn
-        // down through cannot go stale mid-free. Taken before the bucket
-        // locks — the same order as the release path itself.
+        // §4.3: hold the parent's directory lock in read mode across the
+        // removal and the post-removal teardown. The release quiesce takes
+        // it in write mode first, so the mapping the child's core state is
+        // torn down through cannot go stale mid-free. Taken before the
+        // bucket locks — the same order as the release path itself.
         let _no_release = self.config.fix_release_sync.then(|| parent.rw.read());
 
         let (child_ino, itype) = if self.config.fix_state_sync {
@@ -1976,6 +1976,23 @@ mod tests {
         let f = fs(Config::arckfs_plus());
         f.create("/a").unwrap();
         assert_eq!(f.create("/a").unwrap_err(), FsError::AlreadyExists);
+    }
+
+    #[test]
+    fn mount_rejects_a_disabled_extent_tree_or_range_locks() {
+        let (kernel, _) = crate::new_fs(16 << 20, Config::arckfs_plus()).unwrap();
+        for (extent, range_locks) in [(false, true), (true, false), (false, false)] {
+            let mut cfg = Config::arckfs_plus();
+            cfg.extent = extent;
+            cfg.range_locks = range_locks;
+            assert!(
+                matches!(
+                    LibFs::mount(kernel.clone(), cfg, 0),
+                    Err(FsError::Unsupported(_))
+                ),
+                "extent={extent} range_locks={range_locks}"
+            );
+        }
     }
 
     #[test]

@@ -231,44 +231,6 @@ impl OpProfile {
         )
     }
 
-    /// Profile for a **ranged write to one shared file** (ISSUE 7's
-    /// extent-tree + range-lock data path), so the 48-thread projection
-    /// covers FxMark's DWOM shape: N writers, disjoint byte ranges, one
-    /// file.
-    ///
-    /// Structure: with range locks the writers serialize only on the
-    /// per-inode interval table (a short critical section) and on the
-    /// shared size/extent metadata — a shared object partitioned over
-    /// `ranges` concurrently-held intervals, with `serial_fraction` the
-    /// **measured** share of the op spent under the table or the meta
-    /// lock (the `shared_file` bench derives it from the lock-acquisition
-    /// counters and the span latencies). The legacy whole-file lock is
-    /// this same profile with `ranges == 1` and the lock-covered fraction
-    /// as the serial share.
-    pub fn ranged_write(
-        t1_us: f64,
-        ranges: usize,
-        fences_per_op: f64,
-        serial_fraction: f64,
-    ) -> OpProfile {
-        let stats = OpStats {
-            flushes: 1.0,
-            fences: fences_per_op,
-            syscalls: 0.0,
-            lock_acqs: 1.0,
-        };
-        OpProfile::estimate_measured(
-            t1_us,
-            SharingLevel::SharedDir,
-            LockStructure::Partitioned {
-                partitions: ranges.max(1),
-                covered_fraction: serial_fraction.clamp(0.0, 1.0),
-            },
-            stats,
-            serial_fraction,
-        )
-    }
-
     /// Modelled throughput at `threads`, in operations per second.
     pub fn throughput(&self, threads: usize) -> f64 {
         let n = threads as f64;
@@ -477,24 +439,6 @@ mod tests {
         assert!(wide.kappa < narrow.kappa);
         // Single-thread cost is untouched by the structure.
         assert!((narrow.throughput(1) - wide.throughput(1)).abs() < 1.0);
-    }
-
-    #[test]
-    fn ranged_write_projection_rewards_range_locks() {
-        // The legacy path: one whole-file lock covering most of the op.
-        let whole = OpProfile::ranged_write(3.0, 1, 1.0, 0.8);
-        // Range locks: eight disjoint writers, the same measured serial
-        // work diluted over the interval table.
-        let ranged = OpProfile::ranged_write(3.0, 8, 1.0, 0.8);
-        let x48_whole = whole.throughput(48);
-        let x48_ranged = ranged.throughput(48);
-        assert!(
-            x48_ranged > 4.0 * x48_whole,
-            "range locks must lift the 48-thread shared-file projection: \
-             {x48_ranged} vs {x48_whole}"
-        );
-        // Single-thread cost is untouched by the structure.
-        assert!((whole.throughput(1) - ranged.throughput(1)).abs() < 1.0);
     }
 
     #[test]

@@ -442,6 +442,15 @@ impl Kernel {
             if walk.is_err() {
                 continue;
             }
+            // The size field counts live entries, but a create persists it
+            // without a fence of its own, so a crash can leave it behind
+            // the log: recompute it from the resolved names.
+            let live = best.values().filter(|&&(_, deleted, _)| !deleted).count() as u64;
+            if inode.size != live {
+                let field = geom.inode_offset(dir) + format::I_SIZE;
+                device.write_u64(field, live).map_err(fs_err)?;
+                device.clwb(field, 8).map_err(fs_err)?;
+            }
             let mut pending: Vec<(String, u64, InodeType, u32, u32)> = Vec::new();
             for (name, (_, deleted, ino)) in best {
                 if deleted {
@@ -475,6 +484,7 @@ impl Kernel {
             }
             shadow.set_children(dir, children);
         }
+        device.sfence();
         // Rebuild the inode-number pool from the table's commit markers —
         // the durable truth for inode occupancy.
         let mut used = vec![false; geom.max_inodes as usize + 1];

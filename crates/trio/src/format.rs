@@ -19,11 +19,11 @@
 //! | 24 | `size: u64` | file length in bytes; directories: live entry count |
 //! | 32 | `nlink: u64` | |
 //! | 40 | `seq: u64` | monotone per-inode sequence (dentry ordering) |
-//! | 48 | `direct[16]: u64` | files: direct data pages; dirs: tail head pages |
-//! | 176 | `indirect: u64` | single-indirect page (512 pointers) |
-//! | 184 | `dindirect: u64` | double-indirect page |
+//! | 48 | `direct[16]: u64` | dirs: tail head pages; regular files: must be 0 |
+//! | 176 | `indirect: u64` | unused; regular files: must be 0 |
+//! | 184 | `dindirect: u64` | unused; regular files: must be 0 |
 //! | 192 | `batch_seq: u64` | directories: group-durability watermark — 0 when quiescent; a batch's open sequence `S0` while a commit batch is in flight (records with `seq > S0` are uncommitted until the batch fences; see DESIGN.md §8) |
-//! | 200 | `extent_root: u64` | regular files: head of the extent-leaf chain; 0 = legacy direct/indirect mapping (DESIGN.md §11) |
+//! | 200 | `extent_root: u64` | regular files: head of the extent-leaf chain, the only block mapping; 0 = no block mapped (DESIGN.md §11) |
 //!
 //! ## Extent leaf (one page)
 //!
@@ -79,10 +79,8 @@ pub const DIRPAGE_FIRST_DENTRY: u64 = 128;
 /// Dentries per directory-log page.
 pub const DENTRIES_PER_PAGE: u64 = (PAGE_SIZE as u64 - DIRPAGE_FIRST_DENTRY) / DENTRY_SIZE;
 
-/// Number of direct page pointers in an inode.
+/// Number of direct page pointers in an inode (directory tail heads).
 pub const NDIRECT: usize = 16;
-/// Page pointers per indirect page.
-pub const PTRS_PER_PAGE: u64 = PAGE_SIZE as u64 / 8;
 
 // Inode field offsets.
 /// Inode field offset.
@@ -110,8 +108,8 @@ pub const I_DINDIRECT: u64 = 184;
 /// Inode field offset: the group-durability watermark (own cache line —
 /// `192 = 3 × 64` — so persisting it never drags neighbouring fields).
 pub const I_BATCH_SEQ: u64 = 192;
-/// Inode field offset: extent-tree root (regular files; 0 = legacy
-/// direct/indirect block mapping).
+/// Inode field offset: extent-tree root (regular files; 0 = no block
+/// mapped).
 pub const I_EXTENT_ROOT: u64 = 200;
 
 // Extent-leaf page layout.
@@ -328,15 +326,15 @@ pub struct RawInode {
     pub nlink: u64,
     /// Per-inode sequence counter.
     pub seq: u64,
-    /// Direct page pointers (files) or tail heads (dirs).
+    /// Tail heads (dirs); always 0 in a well-formed regular file.
     pub direct: [u64; NDIRECT],
-    /// Single-indirect page.
+    /// Unused slot; always 0 in a well-formed regular file.
     pub indirect: u64,
-    /// Double-indirect page.
+    /// Unused slot; always 0 in a well-formed regular file.
     pub dindirect: u64,
     /// Group-durability watermark (directories; 0 when no batch is open).
     pub batch_seq: u64,
-    /// Extent-tree root (regular files; 0 = legacy block mapping).
+    /// Extent-tree root (regular files; 0 = no block mapped).
     pub extent_root: u64,
 }
 

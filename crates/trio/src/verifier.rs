@@ -5,8 +5,9 @@
 //! compares it against the kernel's ground truth:
 //!
 //! **Structural checks** — the commit marker matches the inode number, the
-//! type tag is well-formed, page pointers stay inside the data region and
-//! are allocated, dentries are well-formed (no NUL inside the name — the
+//! type tag is well-formed, page pointers (directory log pages, a regular
+//! file's extent leaves and runs) stay inside the data region and are
+//! allocated, dentries are well-formed (no NUL inside the name — the
 //! §4.2 partial-persistence signature — no duplicates, committed targets).
 //!
 //! **Invariant I3** (the hierarchy forms a connected tree) — a child present
@@ -32,7 +33,7 @@ use pmem::{PmemDevice, PAGE_SIZE};
 use vfs::{FsError, FsResult};
 
 use crate::controller::{KState, KernelConfig, LibFsId};
-use crate::format::{self, mode, Geometry, InodeType, RawDentry, RawInode, NDIRECT, PTRS_PER_PAGE};
+use crate::format::{self, mode, Geometry, InodeType, RawDentry, RawInode, NDIRECT};
 use crate::lease::RenameLease;
 use crate::shadow::ShadowEntry;
 
@@ -44,7 +45,8 @@ pub struct Snapshot {
     pub ino: u64,
     /// Raw inode record bytes.
     pub inode_bytes: Vec<u8>,
-    /// Directory log pages (page number, contents); empty for files.
+    /// Directory log pages or, for a regular file, its extent leaves
+    /// (page number, contents).
     pub pages: Vec<(u64, Vec<u8>)>,
     /// Verified children at acquire time (directories).
     pub children: HashMap<String, u64>,
@@ -78,24 +80,18 @@ pub(crate) fn take_snapshot(
 
     let inode = format::read_inode(device, geom, ino).map_err(|e| e.to_string())?;
     let mut pages = Vec::new();
-    if inode.is_committed(ino) && inode.inode_type() == Some(InodeType::Directory) {
-        let ntails = (inode.ntails as usize).min(NDIRECT);
-        for tail in 0..ntails {
-            let mut page = inode.direct[tail];
-            let mut hops = 0u64;
-            while page != 0 && page < geom.total_pages {
-                let mut buf = vec![0u8; PAGE_SIZE];
-                device
-                    .read(geom.page_offset(page), &mut buf)
-                    .map_err(|e| e.to_string())?;
-                let next = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
-                pages.push((page, buf));
-                page = next;
-                hops += 1;
-                if hops > geom.total_pages {
-                    return Err("dir log cycle while snapshotting".into());
+    if inode.is_committed(ino) {
+        match inode.inode_type() {
+            Some(InodeType::Directory) => {
+                let ntails = (inode.ntails as usize).min(NDIRECT);
+                for &head in &inode.direct[..ntails] {
+                    snapshot_chain(device, geom, head, &mut pages)?;
                 }
             }
+            Some(InodeType::Regular) => {
+                snapshot_chain(device, geom, inode.extent_root, &mut pages)?;
+            }
+            None => {}
         }
     }
     Ok(Snapshot {
@@ -106,7 +102,34 @@ pub(crate) fn take_snapshot(
     })
 }
 
-/// Restore an inode record and its directory log pages to the snapshot
+/// Append the pages of the chain starting at `head` — a directory log
+/// tail or an extent-leaf chain, both linked through a next pointer at
+/// offset 0 — with their contents.
+fn snapshot_chain(
+    device: &Arc<PmemDevice>,
+    geom: &Geometry,
+    head: u64,
+    pages: &mut Vec<(u64, Vec<u8>)>,
+) -> Result<(), String> {
+    let mut page = head;
+    let mut hops = 0u64;
+    while page != 0 && page < geom.total_pages {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        device
+            .read(geom.page_offset(page), &mut buf)
+            .map_err(|e| e.to_string())?;
+        let next = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
+        pages.push((page, buf));
+        page = next;
+        hops += 1;
+        if hops > geom.total_pages {
+            return Err("page chain cycle while snapshotting".into());
+        }
+    }
+    Ok(())
+}
+
+/// Restore an inode record and its snapshotted pages to the snapshot
 /// state (§2.1 step ⑧, the roll-back corruption policy).
 pub(crate) fn rollback(device: &Arc<PmemDevice>, geom: &Geometry, snap: &Snapshot) {
     // A rollback must not fail; errors here would indicate a bug in the
@@ -149,60 +172,45 @@ fn fail(ino: u64, reason: impl Into<String>) -> FsError {
     }
 }
 
-/// Structural validation of a file inode's page tree: every nonzero pointer
-/// reachable within `size` must be an allocated data page.
+/// Structural validation of a regular file's block map: the
+/// direct/indirect slots must be empty, and every extent leaf and every
+/// page of every committed run must be an allocated data page.
 fn check_file_pages(
     device: &Arc<PmemDevice>,
     geom: &Geometry,
     ino: u64,
     inode: &RawInode,
 ) -> FsResult<()> {
-    let npages = inode.size.div_ceil(PAGE_SIZE as u64);
-    let check = |p: u64| -> FsResult<()> {
-        if p != 0 && !page_allocated(device, geom, p) {
-            return Err(fail(ino, format!("file page {p} not allocated")));
-        }
-        Ok(())
-    };
-    for i in 0..npages.min(NDIRECT as u64) {
-        check(inode.direct[i as usize])?;
+    if inode.direct.iter().any(|&p| p != 0) || inode.indirect != 0 || inode.dindirect != 0 {
+        return Err(fail(ino, "regular file has a direct/indirect block pointer"));
     }
-    if npages > NDIRECT as u64 && inode.indirect != 0 {
-        check(inode.indirect)?;
-        let ind_base = geom.page_offset(inode.indirect);
-        let n = (npages - NDIRECT as u64).min(PTRS_PER_PAGE);
-        for i in 0..n {
-            let p = device
-                .read_u64(ind_base + 8 * i)
-                .map_err(|e| fail(ino, e.to_string()))?;
-            check(p)?;
-        }
+    let (mut leaves, mut runs) = (Vec::new(), Vec::new());
+    format::walk_extents(device, geom, inode, |l| leaves.push(l), |e| runs.push(e))
+        .map_err(|e| fail(ino, e))?;
+    if let Some(p) = leaves.into_iter().find(|&p| !page_allocated(device, geom, p)) {
+        return Err(fail(ino, format!("file extent leaf page {p} not allocated")));
     }
-    let dind_start = NDIRECT as u64 + PTRS_PER_PAGE;
-    if npages > dind_start && inode.dindirect != 0 {
-        check(inode.dindirect)?;
-        let dind_base = geom.page_offset(inode.dindirect);
-        let remaining = npages - dind_start;
-        let n_l1 = remaining.div_ceil(PTRS_PER_PAGE).min(PTRS_PER_PAGE);
-        for i in 0..n_l1 {
-            let l1 = device
-                .read_u64(dind_base + 8 * i)
-                .map_err(|e| fail(ino, e.to_string()))?;
-            if l1 == 0 {
-                continue;
-            }
-            check(l1)?;
-            let l1_base = geom.page_offset(l1);
-            let in_this = (remaining - i * PTRS_PER_PAGE).min(PTRS_PER_PAGE);
-            for j in 0..in_this {
-                let p = device
-                    .read_u64(l1_base + 8 * j)
-                    .map_err(|e| fail(ino, e.to_string()))?;
-                check(p)?;
-            }
+    for e in runs {
+        if let Some(p) = (e.page..e.page + e.len).find(|&p| !page_allocated(device, geom, p)) {
+            return Err(fail(ino, format!("file data page {p} not allocated")));
         }
     }
     Ok(())
+}
+
+/// Has any snapshotted page (a directory log page or extent leaf) changed
+/// since the snapshot was taken?
+fn pages_changed(device: &Arc<PmemDevice>, snap: &Snapshot) -> FsResult<bool> {
+    let mut buf = vec![0u8; PAGE_SIZE];
+    for (page, bytes) in &snap.pages {
+        device
+            .read(*page * PAGE_SIZE as u64, &mut buf)
+            .map_err(|e| fail(snap.ino, e.to_string()))?;
+        if buf != *bytes {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// Parse and structurally validate a directory's live dentries.
@@ -426,14 +434,16 @@ pub(crate) fn verify_and_apply(
         InodeType::Regular => {
             // Deep-walking the block map is only needed when the file's
             // metadata changed since acquire: overwrites of existing
-            // blocks leave the inode record byte-identical, and verifying
-            // them per transfer would defeat TRIO's amortization.
+            // blocks leave the inode record and the extent leaves
+            // byte-identical, and verifying them per transfer would defeat
+            // TRIO's amortization. A new leaf is linked from the inode or
+            // a snapshotted leaf, so comparing those covers the whole map.
             let base = geom.inode_offset(ino);
             let mut cur = vec![0u8; format::INODE_SIZE as usize];
             device
                 .read(base, &mut cur)
                 .map_err(|e| fail(ino, e.to_string()))?;
-            if cur != snap.inode_bytes {
+            if cur != snap.inode_bytes || pages_changed(device, snap)? {
                 if !mode::can_write(inode.mode, inode.uid, uid) {
                     return Err(fail(ino, "file modified without write permission"));
                 }

@@ -34,11 +34,19 @@ fn setup() -> (Arc<Kernel>, Arc<LibFs>) {
     (kernel, attacker)
 }
 
-fn expect_verification_failure(r: Result<(), FsError>, what: &str) {
+/// Assert a verification failure and return its reason.
+fn expect_verification_failure(r: Result<(), FsError>, what: &str) -> String {
     match r {
-        Err(FsError::VerificationFailed { .. }) => {}
+        Err(FsError::VerificationFailed { reason, .. }) => reason,
         other => panic!("{what}: expected verification failure, got {other:?}"),
     }
+}
+
+/// Device offset of the first record in `ino`'s first extent leaf.
+fn first_extent_record(kernel: &Kernel, ino: u64) -> u64 {
+    let raw = format::read_inode(kernel.device(), kernel.geometry(), ino).unwrap();
+    assert_ne!(raw.extent_root, 0, "inode {ino} has no extent leaf");
+    kernel.geometry().page_offset(raw.extent_root) + format::EXTENT_FIRST_REC
 }
 
 #[test]
@@ -114,6 +122,74 @@ fn dentry_to_unallocated_page_region_is_rejected() {
         .write_u64(base + format::I_DIRECT, bogus)
         .unwrap();
     expect_verification_failure(attacker.release_path("/pub"), "bogus log page");
+}
+
+#[test]
+fn extent_run_to_unallocated_page_is_rejected() {
+    let (kernel, attacker) = setup();
+    attacker.write_file("/pub/evil", &[7u8; 8192]).unwrap();
+    let ino = attacker.stat("/pub/evil").unwrap().ino;
+    // Point the file's first run at a page the kernel never granted.
+    let rec = first_extent_record(&kernel, ino);
+    let bogus = kernel.geometry().data_start_page + 5000;
+    kernel
+        .device()
+        .write_u64(rec + format::E_PAGE, bogus)
+        .unwrap();
+    let reason =
+        expect_verification_failure(attacker.release_path("/pub/evil"), "bogus extent run");
+    assert!(reason.contains("not allocated"), "{reason}");
+}
+
+#[test]
+fn redirecting_an_acquired_files_extent_leaf_is_rejected_and_rolled_back() {
+    let (kernel, attacker) = setup();
+    // Acquire the victim's file by reading it.
+    assert_eq!(attacker.read_file("/pub/file").unwrap(), b"public");
+    let ino = attacker.stat("/pub/file").unwrap().ino;
+    let rec = first_extent_record(&kernel, ino);
+    let dev = kernel.device();
+    let page = dev.read_u64(rec + format::E_PAGE).unwrap();
+    let inode_before = format::read_inode(dev, kernel.geometry(), ino).unwrap();
+    // Redirect the leaf record; the inode record stays byte-identical.
+    let bogus = kernel.geometry().data_start_page + 5000;
+    dev.write_u64(rec + format::E_PAGE, bogus).unwrap();
+    let rollbacks = kernel.stats().snapshot().rollbacks;
+    let reason =
+        expect_verification_failure(attacker.release_path("/pub/file"), "leaf redirect");
+    assert!(reason.contains("not allocated"), "{reason}");
+    assert_eq!(kernel.stats().snapshot().rollbacks, rollbacks + 1);
+    assert_eq!(
+        dev.read_u64(rec + format::E_PAGE).unwrap(),
+        page,
+        "the leaf record is rolled back"
+    );
+    assert_eq!(
+        format::read_inode(dev, kernel.geometry(), ino).unwrap(),
+        inode_before
+    );
+}
+
+#[test]
+fn a_block_pointer_outside_the_extent_tree_is_rejected() {
+    let (kernel, attacker) = setup();
+    let _ = attacker.read_file("/pub/file").unwrap();
+    let ino = attacker.stat("/pub/file").unwrap().ino;
+    // Alias /pub's (allocated) log page through the file's direct slot:
+    // files map blocks only through their extent tree, so any direct
+    // pointer in a file is rejected, allocated or not.
+    let pub_ino = attacker.stat("/pub").unwrap().ino;
+    let log_page = format::read_inode(kernel.device(), kernel.geometry(), pub_ino)
+        .unwrap()
+        .direct[0];
+    let base = kernel.geometry().inode_offset(ino);
+    kernel
+        .device()
+        .write_u64(base + format::I_DIRECT, log_page)
+        .unwrap();
+    let reason =
+        expect_verification_failure(attacker.release_path("/pub/file"), "direct slot");
+    assert!(reason.contains("direct/indirect"), "{reason}");
 }
 
 #[test]

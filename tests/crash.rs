@@ -120,6 +120,26 @@ fn recovery_reclaims_orphans_and_recomputes_sizes() {
 }
 
 #[test]
+fn recovery_recomputes_a_directory_size_left_behind_by_a_crash() {
+    let device = PmemDevice::new_tracked(DEV);
+    let mut cfg = Config::arckfs_plus();
+    cfg.batch = false; // every create is durable once acknowledged
+    let (_k, fs) = arckfs::new_fs_on(device.clone(), cfg.clone()).unwrap();
+    fs.mkdir("/d").unwrap();
+    for i in 0..5 {
+        let fd = fs.create(&format!("/d/f{i}")).unwrap();
+        fs.close(fd).unwrap();
+    }
+    // Crash right after the last acknowledged create: its directory-size
+    // store is not fenced, so the durable size is one behind the log.
+    let recovered = PmemDevice::from_image(&device.persistent_image().unwrap());
+    let kernel = Kernel::recover(recovered, KernelConfig::arckfs_plus()).unwrap();
+    let fs2 = LibFs::mount(kernel, cfg, 0).unwrap();
+    assert_eq!(fs2.readdir("/d").unwrap().len(), 5);
+    fs2.release_path("/d").unwrap();
+}
+
+#[test]
 fn rename_crash_window_is_benign_residue_at_worst() {
     // A same-directory rename appends the new dentry, then tombstones the
     // old. A crash between the two leaves the inode named twice — recovery
