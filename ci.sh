@@ -5,22 +5,20 @@
 # stand-ins under vendor/ (the build environment cannot reach crates.io),
 # so no pre-warmed registry is required. Run from the repository root.
 #
-# The test suite runs six times: once with the dentry cache enabled
+# The test suite runs five times: once with the dentry cache enabled
 # (the default), once with ARCKFS_DCACHE=0 so the lock-free resolution
 # path and the plain locked walk both stay green, once with
-# ARCKFS_BATCH=1 so group durability (fence-coalescing batch commit,
-# DESIGN.md §8) is exercised by the whole suite, not just its own tests,
-# once with ARCKFS_ALLOC_SHARDS=1 so the sharded allocator's
-# single-shard (old global-lock) configuration stays behaviour-identical
-# (DESIGN.md §9), once each with ARCKFS_DELEG_RINGS=0 (inline data
-# path, the delegation runtime fully off) and ARCKFS_DELEG_RINGS=4 (the
-# per-core SQ/CQ ring runtime arbitrating every large write, DESIGN.md
-# §10). The batch_sweep smoke pins the fence-coalescing win (>= 4x
-# create-path sfence reduction at batch 8); the alloc_scale smoke pins
-# the sharding win (>= 4x busiest-shard lock-acquisition reduction at 8
-# shards, a deterministic count); the delegate_scale smoke pins the ring
-# win (>= 2x 8-thread submit throughput over ticket-per-op, with
-# fences/op falling as the drain batch grows); the shared_file smoke
+# ARCKFS_ALLOC_SHARDS=1 so the sharded allocator's single-shard (old
+# global-lock) configuration stays behaviour-identical (DESIGN.md §9),
+# once each with ARCKFS_DELEG_RINGS=0 (inline data path, the delegation
+# runtime fully off) and ARCKFS_DELEG_RINGS=4 (the per-core SQ/CQ ring
+# runtime arbitrating every large write, DESIGN.md §10). Every metadata
+# operation commits inline (DESIGN.md §8), so there is no commit-mode
+# leg. The alloc_scale smoke pins the sharding win (>= 4x busiest-shard
+# lock-acquisition reduction at 8 shards, a deterministic count); the
+# delegate_scale smoke pins the ring win (>= 2x 8-thread submit
+# throughput over ticket-per-op, with fences/op falling as the drain
+# batch grows); the shared_file smoke
 # runs the DWOM, fio-style sequential and DWAL shapes on the range-locked
 # extent path (DESIGN.md §11) and asserts every DWOM write crosses the
 # interval table. The service_storm smoke runs twice (DESIGN.md §12): once
@@ -53,11 +51,9 @@ set -eux
 cargo build --release
 ARCKFS_DCACHE=1 cargo test -q --workspace
 ARCKFS_DCACHE=0 cargo test -q --workspace
-ARCKFS_BATCH=1 cargo test -q --workspace
 ARCKFS_ALLOC_SHARDS=1 cargo test -q --workspace
 ARCKFS_DELEG_RINGS=0 cargo test -q --workspace
 ARCKFS_DELEG_RINGS=4 cargo test -q --workspace
-BENCH_ITERS=2000 cargo run --release -q -p bench --bin batch_sweep
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin alloc_scale
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin delegate_scale
 BENCH_ITERS=2000 cargo run --release -q -p bench --bin shared_file

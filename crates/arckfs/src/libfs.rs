@@ -42,10 +42,6 @@ struct DirScan {
     stale: Vec<u64>,
     /// Offsets of tombstoned slots available for reuse.
     reusable: Vec<u64>,
-    /// Offsets of records above a nonzero batch watermark: members of a
-    /// group-durability batch that never fenced (DESIGN.md §8). Recovery
-    /// erases them (and clears the watermark) before the index goes live.
-    gated: Vec<u64>,
     /// Per-tail append positions rebuilt from the page chains.
     tails: Vec<crate::inode::Tail>,
     /// Highest dentry sequence number observed in the log.
@@ -383,12 +379,6 @@ impl LibFs {
             // exclusive guards taken above.
             let scan = self.scan_dir_log(&raw)?;
             max_seq = scan.max_seq;
-            if raw.batch_seq != 0 {
-                // Defensive: a released directory's batch was closed by the
-                // release quiesce, so residue here means another LibFS (or
-                // a crash) left an open batch behind. Same repair as mount.
-                self.erase_batch_residue(&grant.mapping, mi.ino, &scan.gated)?;
-            }
             for off in &scan.stale {
                 self.tombstone_dentry_core(&grant.mapping, *off)?;
             }
@@ -415,17 +405,7 @@ impl LibFs {
                 live += 1;
             }
             ds.live.store(live, Ordering::SeqCst);
-            let mut reusable = scan.reusable;
-            reusable.extend(&scan.gated);
-            *ds.free_slots.lock() = reusable;
-            // The close run by the release quiesce staged its post-action
-            // slots in the retained batch cell for the *next* close to hand
-            // back. The scan above re-derives those same slots from the log
-            // (their tombstones are durable-ordered core state by now), so
-            // the staged list must be dropped: letting the next close append
-            // it to `free_slots` would grant the same slot twice, and the
-            // second reuse overwrites a live dentry written in between.
-            ds.batch.state.lock().reclaim.clear();
+            *ds.free_slots.lock() = scan.reusable;
             for (guard, rebuilt) in tails.iter_mut().zip(scan.tails) {
                 **guard = rebuilt;
             }
@@ -496,12 +476,6 @@ impl LibFs {
         let scan = self.scan_dir_log(raw)?;
 
         let mapping = &self.base_mapping;
-        if raw.batch_seq != 0 {
-            // Open-batch crash residue: erase the gated records and clear
-            // the watermark before this directory's index goes live.
-            self.erase_batch_residue(mapping, raw.marker, &scan.gated)?;
-            ds.free_slots.lock().extend(&scan.gated);
-        }
         for off in &scan.stale {
             self.tombstone_dentry_core(mapping, *off)?;
         }
@@ -534,32 +508,24 @@ impl LibFs {
     fn scan_dir_log(&self, raw: &format::RawInode) -> FsResult<DirScan> {
         let device = self.kernel.device();
         // name -> (seq, ino, off, deleted). Resolution runs over *every*
-        // committed record, deletions included: a batched unlink/rename is
-        // a negative record whose in-place tombstone of the superseded
-        // entry may not have reached PM before a crash, so "live record"
-        // alone cannot be trusted — the highest sequence number per name
-        // decides, and a deleted winner means the name is dead.
+        // committed record, deletions included: the log is untrusted input
+        // (another LibFS or a crash may have left a deleted record beside
+        // the one it superseded), so "live record" alone cannot be trusted
+        // — the highest sequence number per name decides, and a deleted
+        // winner means the name is dead.
         let mut best: HashMap<String, (u64, u64, u64, bool)> = HashMap::new();
         let mut scan = DirScan {
             live: Vec::new(),
             stale: Vec::new(),
             reusable: Vec::new(),
-            gated: Vec::new(),
             tails: vec![crate::inode::Tail::default(); raw.ntails.max(1) as usize],
             max_seq: 0,
         };
-        let wm = raw.batch_seq;
         format::walk_dir_log(device, &self.geom, raw, |d| {
             if d.marker == 0 {
                 return;
             }
             scan.max_seq = scan.max_seq.max(d.seq);
-            if wm != 0 && d.seq > wm {
-                // Unfenced member of an open batch (DESIGN.md §8): crash
-                // residue, whatever its payload says.
-                scan.gated.push(d.offset);
-                return;
-            }
             let name = match d.name_str() {
                 Some(n) => n.to_string(),
                 None => {
@@ -632,27 +598,6 @@ impl LibFs {
         Ok(scan)
     }
 
-    /// Erase the crash residue of an open group-durability batch
-    /// (DESIGN.md §8): zero the commit marker of every gated record, fence,
-    /// then clear the directory's watermark and fence again. The order
-    /// matters — a crash must never expose a cleared watermark while a
-    /// gated record still looks committed. The erased slots are holes
-    /// afterwards and are returned for reuse by the caller.
-    fn erase_batch_residue(&self, mapping: &Mapping, ino: u64, gated: &[u64]) -> FsResult<()> {
-        for &off in gated {
-            mapping
-                .write_u16(off + format::D_MARKER, 0)
-                .map_err(crate::dir::map_fault)?;
-            mapping.clwb(off, 2).map_err(crate::dir::map_fault)?;
-        }
-        mapping.sfence();
-        let field = self.geom.inode_offset(ino) + format::I_BATCH_SEQ;
-        mapping.write_u64(field, 0).map_err(crate::dir::map_fault)?;
-        mapping.clwb(field, 8).map_err(crate::dir::map_fault)?;
-        mapping.sfence();
-        Ok(())
-    }
-
     // ---- path resolution -----------------------------------------------------
 
     /// Look up one path component under `dir`, consulting the lock-free
@@ -661,11 +606,6 @@ impl LibFs {
     /// lookup; every other outcome falls back to it and (when still
     /// fresh) publishes the translation for the next walk.
     pub(crate) fn lookup_child(&self, dir: &Arc<MemInode>, name: &str) -> FsResult<Option<u64>> {
-        // Group-durability visibility barrier (DESIGN.md §8): an entry must
-        // not become observable through a lookup while the batch that wrote
-        // it could still roll it back on crash. The lock-free `is_open`
-        // probe inside keeps the quiescent cost at one atomic load.
-        self.close_batch_if_open(dir);
         if self.config.dcache {
             if let Some(child) = self.dcache.lookup(dir, name) {
                 return Ok(Some(child));
@@ -814,10 +754,6 @@ impl LibFs {
         // newly registered child so later commits/releases of it work.
         let mut to_commit = cur;
         while let Some(child) = chain.pop() {
-            // The verifier parses the directory's committed log view, so an
-            // open batch (whose deferred tombstones have not run yet) must
-            // close before the kernel looks.
-            self.close_batch_if_open(&to_commit);
             self.kernel.commit(self.id, to_commit.ino)?;
             to_commit = child;
         }
@@ -841,7 +777,6 @@ impl LibFs {
                 let mi = self.inodes.read().get(&new_parent).cloned();
                 if let Some(mi) = mi {
                     self.ensure_connected(&mi)?;
-                    self.close_batch_if_open(&mi);
                 }
                 self.kernel.commit(self.id, new_parent)?;
             }
@@ -881,7 +816,6 @@ impl LibFs {
                 let parent = self.inodes.read().get(&parent_ino).cloned();
                 if let Some(parent) = parent {
                     self.ensure_connected(&parent)?;
-                    self.close_batch_if_open(&parent);
                     self.kernel.commit(self.id, parent_ino)?;
                 }
             }
@@ -912,11 +846,6 @@ impl LibFs {
                 }
             }
             let _m = mi.meta.lock();
-            // Close the directory's commit batch while the mapping is still
-            // valid and every member is quiesced (we hold the bucket table
-            // exclusively). After this, a racing standalone closer finds
-            // the batch already closed and backs off.
-            self.close_batch_quiesced(&mi);
             mi.mark_released();
             // Cached translations under a released directory must stop
             // validating: another LibFS may mutate it while released, and
@@ -967,7 +896,6 @@ impl LibFs {
         if self.config.fix_rename {
             self.ensure_connected(&mi)?;
         }
-        self.close_batch_if_open(&mi);
         self.kernel.commit(self.id, mi.ino)
     }
 
@@ -982,9 +910,6 @@ impl LibFs {
     /// the kernel does not yet know the children (Rule (1) ordering), then
     /// unregister.
     pub fn unmount(&self) -> FsResult<()> {
-        // Unmount is a global visibility event: every batched metadata
-        // operation becomes durable before any inode is handed back.
-        self.flush_all_batches();
         // Hand unused grants back first so they are not force-released.
         let inos: Vec<u64> = self
             .ino_pool
@@ -1128,7 +1053,6 @@ impl LibFs {
                 // Rule (3): commit the new parent *before* the rename (this
                 // also connects a newly created new parent — Figure 2).
                 self.ensure_connected(&to_parent)?;
-                self.close_batch_if_open(&to_parent);
                 self.kernel.commit(self.id, to_parent.ino)?;
             }
 
@@ -1137,14 +1061,6 @@ impl LibFs {
             // The actual relocation in core + auxiliary state: commit the
             // new dentry, then tombstone the old.
             self.dir_insert(&to_parent, to_name, meta.ino, |_| Ok(()))?;
-            // Cross-directory durability order: the new name must be
-            // committed before the old one is removed. Were the insert
-            // still sitting in an open batch when the removal's batch
-            // closed, a crash could roll back just the insert — losing the
-            // file, a state the inline configuration can never reach.
-            if self.config.batch_active() {
-                self.close_batch_if_open(&to_parent);
-            }
             // Once the insert has landed the operation is past the point of
             // no return: replaying the whole rename would find the new name
             // already present. So a §4.3 release of the old parent is
@@ -1405,36 +1321,6 @@ impl LibFs {
             (meta.ino, itype)
         };
 
-        // Group durability (DESIGN.md §8): a batched removal defers the
-        // teardown to its batch close. Until the negative dentry record is
-        // committed, a crash rolls the removal back — and the revived name
-        // must not point at a freed inode, a dangling state the inline
-        // configuration can never expose.
-        if self.config.batch_active() {
-            if itype == InodeType::Directory {
-                // Drain the removed directory's own batch (post actions
-                // included) before its core state can be torn down. The
-                // map guard must drop before the close: its post actions
-                // take the map lock exclusively.
-                let child = self.inodes.read().get(&child_ino).cloned();
-                if let Some(child) = child {
-                    self.close_batch_if_open(&child);
-                }
-            }
-            let pushed = self.batch_push_post(
-                parent,
-                Box::new(move |fs, d| {
-                    let _ = fs.teardown_removed_inode(d, child_ino, itype);
-                    Vec::new()
-                }),
-            );
-            if pushed {
-                return Ok(());
-            }
-            // No batch open: the removal itself crossed a close threshold,
-            // so the negative record is already durable and the inline
-            // teardown below is safe.
-        }
         self.teardown_removed_inode(parent, child_ino, itype)?;
 
         if self.config.verify_every_op {
@@ -1446,9 +1332,8 @@ impl LibFs {
 
     /// Free an inode whose dentry has been removed: collect and recycle its
     /// pages, clear its commit marker, hand it back to the kernel, and drop
-    /// the auxiliary state. Runs inline after an unbatched removal, or as a
-    /// batch post action once the removal's negative record has committed.
-    pub(crate) fn teardown_removed_inode(
+    /// the auxiliary state.
+    fn teardown_removed_inode(
         &self,
         parent: &MemInode,
         child_ino: u64,
@@ -1729,21 +1614,17 @@ impl FileSystem for LibFs {
 
     fn fsync(&self, _fd: Fd) -> FsResult<()> {
         let _span = obs::span(obs::OpKind::Fsync, self.kernel.device().stats());
-        // §2.2: data writes persist synchronously. With group durability
-        // active (DESIGN.md §8), metadata operations may still sit in open
-        // commit batches — fsync is the explicit durability point that
-        // closes them all; otherwise it returns immediately. Delegated
-        // writes are quiesced too: every waited ticket is already durable,
-        // but open-loop submitters (`Ticket::try_complete`) may still have
-        // chunks in the rings.
-        self.flush_all_batches();
+        // §2.2: data writes and metadata operations persist synchronously,
+        // so fsync only drains delegated writes: every waited ticket is
+        // already durable, but open-loop submitters
+        // (`Ticket::try_complete`) may still have chunks in the rings.
         self.delegation.drain();
         Ok(())
     }
 
     fn sync(&self) -> FsResult<()> {
         let _span = obs::span(obs::OpKind::Fsync, self.kernel.device().stats());
-        self.flush_batch();
+        // As in fsync: only delegated writes can still be in flight.
         self.delegation.drain();
         Ok(())
     }
@@ -1795,9 +1676,6 @@ impl FileSystem for LibFs {
         if mi.itype != InodeType::Directory {
             return Err(FsError::NotADirectory);
         }
-        // Visibility barrier (DESIGN.md §8): enumerating a directory makes
-        // every entry observable, so its open batch must commit first.
-        self.close_batch_if_open(&mi);
         let metas = self.dir_iterate(&mi)?;
         let mut out = Vec::with_capacity(metas.len());
         for m in metas {

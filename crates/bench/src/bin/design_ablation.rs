@@ -56,9 +56,9 @@ fn main() {
                 RunMode::Duration(bench_duration()),
             )
             .expect("run");
-            // Workers are joined inside run_workload; drain any open
-            // commit batch before snapshotting so the delta covers
-            // every op the result counts (end must dominate start).
+            // Workers are joined inside run_workload; drain delegated
+            // writes before snapshotting so the delta covers every op
+            // the result counts (end must dominate start).
             fs.sync().expect("sync");
             let after = fs.stats();
             cells.push(r.ops_per_sec());

@@ -33,10 +33,8 @@
 //! substitution for the paper's 48-core testbed — but every input except
 //! the two USL shape constants is measured from the running system.
 
-use serde::{Deserialize, Serialize};
-
 /// What an operation contends on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SharingLevel {
     /// Per-thread private objects (FxMark's `*L` workloads).
     Private,
@@ -47,7 +45,7 @@ pub enum SharingLevel {
 }
 
 /// Which locking structure the file system uses for the shared object.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LockStructure {
     /// A single lock covers the shared object for most of the operation
     /// (kernel file systems' parent-inode mutex).
@@ -69,7 +67,7 @@ pub enum LockStructure {
 }
 
 /// Per-operation synchronization profile, measured by the harness.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OpStats {
     /// Cache-line flushes per operation.
     pub flushes: f64,
@@ -81,28 +79,17 @@ pub struct OpStats {
     pub lock_acqs: f64,
 }
 
-impl OpStats {
-    /// Copy of this profile with the fence column replaced. Group
-    /// durability only coalesces ordering points — flushes, kernel
-    /// crossings, and lock traffic stay per-operation — so projecting a
-    /// measured profile onto a batched regime touches this column alone.
-    pub fn with_fences(mut self, fences: f64) -> OpStats {
-        self.fences = fences;
-        self
-    }
-}
-
-/// Predicted store fences per operation under a group-durability commit
-/// batch: `fences_per_batch` ordering points (e.g. watermark open plus
-/// the close pair) amortized over `batch_ops` operations. Fences an
-/// implementation still issues outside the batched path add on top, so
-/// measured columns converge to this plus a constant residual.
+/// Predicted store fences per operation when `fences_per_batch` ordering
+/// points are shared by `batch_ops` operations (e.g. a delegation worker
+/// draining several jobs under one `sfence`). Fences an implementation
+/// still issues outside the batched path add on top, so measured columns
+/// converge to this plus a constant residual.
 pub fn amortized_fences(fences_per_batch: f64, batch_ops: usize) -> f64 {
     fences_per_batch / batch_ops.max(1) as f64
 }
 
 /// A calibrated per-(file-system, workload) operation profile.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OpProfile {
     /// Measured single-thread cost, µs per operation.
     pub t1_us: f64,
@@ -297,10 +284,6 @@ mod tests {
         assert_eq!(amortized_fences(3.0, 8), 0.375);
         // Degenerate batch sizes never divide by zero.
         assert_eq!(amortized_fences(3.0, 0), 3.0);
-        let projected = stats().with_fences(amortized_fences(3.0, 8));
-        assert_eq!(projected.fences, 0.375);
-        assert_eq!(projected.flushes, stats().flushes);
-        assert_eq!(projected.lock_acqs, stats().lock_acqs);
     }
 
     #[test]

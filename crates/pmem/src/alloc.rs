@@ -195,11 +195,6 @@ pub struct ShardedPageAllocator {
     frees: AtomicU64,
 }
 
-/// The pre-sharding name; shard count 1 is behaviour-identical to the old
-/// single-lock allocator, and every constructor defaults the shard count
-/// from the environment, so existing call sites keep working unchanged.
-pub type PageAllocator = ShardedPageAllocator;
-
 impl ShardedPageAllocator {
     /// Bytes of bitmap needed to manage `page_count` pages.
     pub fn bitmap_bytes(page_count: u64) -> u64 {
@@ -654,10 +649,10 @@ mod tests {
     use crate::PAGE_SIZE;
     use std::collections::HashSet;
 
-    fn mk() -> PageAllocator {
+    fn mk() -> ShardedPageAllocator {
         let dev = PmemDevice::new(64 * PAGE_SIZE);
         // Bitmap at offset 0, managing pages 4..36.
-        PageAllocator::format(dev, 0, 4, 32).unwrap()
+        ShardedPageAllocator::format(dev, 0, 4, 32).unwrap()
     }
 
     #[test]
@@ -698,12 +693,12 @@ mod tests {
     #[test]
     fn recovery_rebuilds_free_list() {
         let dev = PmemDevice::new(64 * PAGE_SIZE);
-        let a = PageAllocator::format(dev.clone(), 0, 4, 32).unwrap();
+        let a = ShardedPageAllocator::format(dev.clone(), 0, 4, 32).unwrap();
         let kept = a.alloc_extent(5).unwrap();
         let dropped = a.alloc_extent(3).unwrap();
         a.free_extent(&dropped).unwrap();
         // "Remount": rebuild from the durable bitmap.
-        let b = PageAllocator::recover(dev, 0, 4, 32).unwrap();
+        let b = ShardedPageAllocator::recover(dev, 0, 4, 32).unwrap();
         assert_eq!(b.allocated_count(), 5);
         assert_eq!(b.free_count(), 27);
         for &p in &kept {
@@ -719,14 +714,14 @@ mod tests {
     #[test]
     fn recovery_after_crash_sees_persisted_bits() {
         let dev = PmemDevice::new_tracked(64 * PAGE_SIZE);
-        let a = PageAllocator::format(dev.clone(), 0, 4, 32).unwrap();
+        let a = ShardedPageAllocator::format(dev.clone(), 0, 4, 32).unwrap();
         let pages = a.alloc_extent(4).unwrap();
         // Crash: the bitmap updates were clwb'd and fenced by alloc_extent,
         // so every crash image shows them allocated.
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         let img = dev.sample_crash_image(&mut rng).unwrap();
         let rec_dev = PmemDevice::from_image(&img);
-        let b = PageAllocator::recover(rec_dev, 0, 4, 32).unwrap();
+        let b = ShardedPageAllocator::recover(rec_dev, 0, 4, 32).unwrap();
         for &p in &pages {
             assert!(b.is_allocated(p).unwrap());
         }
@@ -735,7 +730,7 @@ mod tests {
     #[test]
     fn concurrent_alloc_is_disjoint() {
         let dev = PmemDevice::new(1024 * PAGE_SIZE);
-        let a = PageAllocator::format(dev, 0, 1, 512).unwrap();
+        let a = ShardedPageAllocator::format(dev, 0, 1, 512).unwrap();
         let sets: Vec<Vec<u64>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| s.spawn(|| (0..64).map(|_| a.alloc().unwrap()).collect::<Vec<_>>()))
@@ -753,10 +748,10 @@ mod tests {
 
     #[test]
     fn bitmap_bytes_math() {
-        assert_eq!(PageAllocator::bitmap_bytes(0), 0);
-        assert_eq!(PageAllocator::bitmap_bytes(1), 1);
-        assert_eq!(PageAllocator::bitmap_bytes(8), 1);
-        assert_eq!(PageAllocator::bitmap_bytes(9), 2);
+        assert_eq!(ShardedPageAllocator::bitmap_bytes(0), 0);
+        assert_eq!(ShardedPageAllocator::bitmap_bytes(1), 1);
+        assert_eq!(ShardedPageAllocator::bitmap_bytes(8), 1);
+        assert_eq!(ShardedPageAllocator::bitmap_bytes(9), 2);
     }
 
     #[test]

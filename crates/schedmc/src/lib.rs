@@ -110,18 +110,12 @@ pub enum Op {
     /// `fallocate(fd, 1024, 2048)` on `/d/f0` — preallocation racing the
     /// data ops; a no-op when the file system reports it unsupported.
     Fallocate,
-    /// `flush_batch()` — the explicit group-durability close (ISSUE 4).
-    /// A no-op unless the config under test enables batching.
-    FlushBatch,
-    /// `create("/d/nb")` — a create on its own name, meant to ride an
-    /// open commit batch and race the ops that force its close.
-    CreateBatched,
 }
 
 impl Op {
-    /// The whole vocabulary, in a fixed order. The batch ops come last
+    /// The whole vocabulary, in a fixed order. The newest ops come last
     /// so budget truncation of a sweep sheds the newest pairs first.
-    pub const ALL: [Op; 12] = [
+    pub const ALL: [Op; 10] = [
         Op::Create,
         Op::Unlink,
         Op::Rename,
@@ -132,17 +126,11 @@ impl Op {
         Op::WriteDelegated,
         Op::WriteRanged,
         Op::Fallocate,
-        Op::FlushBatch,
-        Op::CreateBatched,
     ];
 
     /// The ops that exercise the ranged shared-file data path: the
     /// disjoint vectored writer and the preallocator.
     pub const RANGED: [Op; 2] = [Op::WriteRanged, Op::Fallocate];
-
-    /// The ops that drive a batch close: the explicit flush and the
-    /// batched create whose visibility other ops can force.
-    pub const BATCH: [Op; 2] = [Op::FlushBatch, Op::CreateBatched];
 
     /// Short name (participant label, report rows).
     pub fn name(self) -> &'static str {
@@ -157,8 +145,6 @@ impl Op {
             Op::WriteDelegated => "write_delegated",
             Op::WriteRanged => "write_ranged",
             Op::Fallocate => "fallocate",
-            Op::FlushBatch => "flush_batch",
-            Op::CreateBatched => "create_batched",
         }
     }
 
@@ -235,14 +221,6 @@ impl Op {
                 let c = fs.close(fd);
                 r.and(c)
             }
-            Op::FlushBatch => {
-                fs.flush_batch();
-                Ok(())
-            }
-            Op::CreateBatched => {
-                let fd = fs.create("/d/nb")?;
-                fs.close(fd)
-            }
         }
     }
 }
@@ -256,10 +234,7 @@ pub fn setup(fs: &LibFs) -> FsResult<()> {
         let fd = fs.create(name)?;
         fs.close(fd)?;
     }
-    // Quiesce any open commit batch: the racing ops start from a
-    // known-durable baseline (the crash oracle persists it wholesale),
-    // and only *their* batches can be open mid-schedule.
-    fs.sync()
+    Ok(())
 }
 
 // ---- options ---------------------------------------------------------------
@@ -625,7 +600,7 @@ fn coherence_probe(fs: &LibFs) -> Result<(), String> {
         .into_iter()
         .map(|e| e.name)
         .collect();
-    for name in ["n", "u0", "old", "new", "rv", "f0", "nb"] {
+    for name in ["n", "u0", "old", "new", "rv", "f0"] {
         let path = format!("/d/{name}");
         let via_stat = match fs.stat(&path) {
             Ok(_) => true,
@@ -1087,32 +1062,6 @@ pub fn explore_vocabulary(opts: &ExploreOpts) -> ExploreReport {
 /// Explore every unordered triple from [`Op::ALL`] — the deep sweep.
 pub fn explore_vocabulary_triples(opts: &ExploreOpts) -> ExploreReport {
     explore_combos(opts, 3)
-}
-
-/// Explore every unordered pair involving a batch-close driver
-/// ([`Op::BATCH`]) under a **batch-enabled** copy of `opts.config` —
-/// the vocabulary sweep alone never schedules a real close because the
-/// default config leaves group durability off. Same preemption bound
-/// and budget semantics as [`explore_vocabulary`].
-pub fn explore_batch_pairs(opts: &ExploreOpts) -> ExploreReport {
-    let mut opts = opts.clone();
-    opts.config.batch = true;
-    let deadline = opts.budget.map(|b| Instant::now() + b);
-    let mut report = ExploreReport::default();
-    let first_batch = Op::ALL.len() - Op::BATCH.len();
-    for i in 0..Op::ALL.len() {
-        for j in i..Op::ALL.len() {
-            if i < first_batch && j < first_batch {
-                continue;
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                report.truncated = true;
-                return report;
-            }
-            report.merge(explore_inner(&[Op::ALL[i], Op::ALL[j]], &opts, deadline));
-        }
-    }
-    report
 }
 
 /// Explore every unordered pair involving [`Op::WriteDelegated`] under a

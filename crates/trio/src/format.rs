@@ -22,7 +22,7 @@
 //! | 48 | `direct[16]: u64` | dirs: tail head pages; regular files: must be 0 |
 //! | 176 | `indirect: u64` | unused; regular files: must be 0 |
 //! | 184 | `dindirect: u64` | unused; regular files: must be 0 |
-//! | 192 | `batch_seq: u64` | directories: group-durability watermark — 0 when quiescent; a batch's open sequence `S0` while a commit batch is in flight (records with `seq > S0` are uncommitted until the batch fences; see DESIGN.md §8) |
+//! | 192 | reserved: u64 | unused, written as 0 (once a group-durability watermark, removed; see DESIGN.md §8) |
 //! | 200 | `extent_root: u64` | regular files: head of the extent-leaf chain, the only block mapping; 0 = no block mapped (DESIGN.md §11) |
 //!
 //! ## Extent leaf (one page)
@@ -105,9 +105,6 @@ pub const I_DIRECT: u64 = 48;
 pub const I_INDIRECT: u64 = 176;
 /// Inode field offset.
 pub const I_DINDIRECT: u64 = 184;
-/// Inode field offset: the group-durability watermark (own cache line —
-/// `192 = 3 × 64` — so persisting it never drags neighbouring fields).
-pub const I_BATCH_SEQ: u64 = 192;
 /// Inode field offset: extent-tree root (regular files; 0 = no block
 /// mapped).
 pub const I_EXTENT_ROOT: u64 = 200;
@@ -332,8 +329,6 @@ pub struct RawInode {
     pub indirect: u64,
     /// Unused slot; always 0 in a well-formed regular file.
     pub dindirect: u64,
-    /// Group-durability watermark (directories; 0 when no batch is open).
-    pub batch_seq: u64,
     /// Extent-tree root (regular files; 0 = no block mapped).
     pub extent_root: u64,
 }
@@ -382,7 +377,6 @@ pub fn decode_inode(rec: &[u8; INODE_SIZE as usize]) -> RawInode {
         direct,
         indirect: u64_at(I_INDIRECT),
         dindirect: u64_at(I_DINDIRECT),
-        batch_seq: u64_at(I_BATCH_SEQ),
         extent_root: u64_at(I_EXTENT_ROOT),
     }
 }

@@ -347,9 +347,9 @@ pub trait FileSystem: Send + Sync {
 
     /// Make every completed operation durable, file-system-wide — the
     /// handle-less durability barrier. File systems that persist
-    /// synchronously need nothing here (the default); ones that batch
-    /// metadata commits (ArckFS group durability) override it to close
-    /// their open commit batches.
+    /// synchronously need nothing here (the default). ArckFS commits
+    /// metadata inline, so its override only drains data writes still in
+    /// flight on its delegation rings.
     fn sync(&self) -> FsResult<()> {
         Ok(())
     }

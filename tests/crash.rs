@@ -56,9 +56,6 @@ fn remount_recovers_the_tree_after_crash() {
     fs.write_file("/docs/report.txt", b"durable content").unwrap();
     fs.mkdir("/docs/sub").unwrap();
     fs.write_file("/docs/sub/deep.txt", &vec![0x7Au8; 10_000]).unwrap();
-    // Commit any open batch (ARCKFS_BATCH=1 runs): the tree below is the
-    // durable state the recovered kernel must reproduce.
-    fs.sync().unwrap();
 
     // Crash: take a sampled crash image and bring up a whole new kernel
     // on the recovered device.
@@ -100,7 +97,6 @@ fn recovery_reclaims_orphans_and_recomputes_sizes() {
     let device = PmemDevice::new_tracked(DEV);
     let (_k, fs) = arckfs::new_fs_on(device.clone(), Config::arckfs_plus()).unwrap();
     fs.write_file("/real.txt", b"visible").unwrap();
-    fs.sync().unwrap(); // commit the create's batch under ARCKFS_BATCH=1
     let geom = trio::format::read_superblock(&device).unwrap();
     // Orphan: commit inode 50 with no dentry anywhere.
     let base = geom.inode_offset(50);
@@ -121,22 +117,39 @@ fn recovery_reclaims_orphans_and_recomputes_sizes() {
 
 #[test]
 fn recovery_recomputes_a_directory_size_left_behind_by_a_crash() {
+    // Every metadata operation is durable once acknowledged, with no
+    // `sync`: the directory listings after a crash equal the model of
+    // acknowledged operations.
     let device = PmemDevice::new_tracked(DEV);
-    let mut cfg = Config::arckfs_plus();
-    cfg.batch = false; // every create is durable once acknowledged
-    let (_k, fs) = arckfs::new_fs_on(device.clone(), cfg.clone()).unwrap();
+    let (_k, fs) = arckfs::new_fs_on(device.clone(), Config::arckfs_plus()).unwrap();
     fs.mkdir("/d").unwrap();
+    fs.mkdir("/e").unwrap();
     for i in 0..5 {
         let fd = fs.create(&format!("/d/f{i}")).unwrap();
         fs.close(fd).unwrap();
     }
-    // Crash right after the last acknowledged create: its directory-size
-    // store is not fenced, so the durable size is one behind the log.
-    let recovered = PmemDevice::from_image(&device.persistent_image().unwrap());
-    let kernel = Kernel::recover(recovered, KernelConfig::arckfs_plus()).unwrap();
-    let fs2 = LibFs::mount(kernel, cfg, 0).unwrap();
-    assert_eq!(fs2.readdir("/d").unwrap().len(), 5);
+    fs.unlink("/d/f0").unwrap();
+    fs.rename("/d/f1", "/e/g1").unwrap();
+    fs.mkdir("/d/sub").unwrap();
+    // Crash right after the last acknowledged operation: the mkdir's
+    // directory-size store is not fenced, so the durable size of /d is
+    // one behind the log.
+    let image = PmemDevice::from_image(&device.persistent_image().unwrap());
+    let report = trio::fsck::fsck(&image).unwrap();
+    assert!(report.is_consistent(), "{:?}", report.fatal());
+    let kernel = Kernel::recover(image, KernelConfig::arckfs_plus()).unwrap();
+    let fs2 = LibFs::mount(kernel.clone(), Config::arckfs_plus(), 0).unwrap();
+    let names = |dir: &str| {
+        let mut v: Vec<String> = fs2.readdir(dir).unwrap().into_iter().map(|e| e.name).collect();
+        v.sort();
+        v
+    };
+    assert_eq!(names("/d"), ["f2", "f3", "f4", "sub"]);
+    assert_eq!(names("/e"), ["g1"]);
+    // Releasing /d makes the kernel verify its size against the log.
     fs2.release_path("/d").unwrap();
+    let report = trio::fsck::fsck(kernel.device()).unwrap();
+    assert!(report.issues.is_empty(), "{:?}", report.issues);
 }
 
 #[test]
@@ -147,7 +160,6 @@ fn rename_crash_window_is_benign_residue_at_worst() {
     let device = PmemDevice::new_tracked(DEV);
     let (_k, fs) = arckfs::new_fs_on(device.clone(), Config::arckfs_plus()).unwrap();
     fs.write_file("/before", b"payload").unwrap();
-    fs.sync().unwrap(); // close any open batch: "/before" must be committed
     device.persist_all(); // quiesce: the create is fully durable
 
     fs.rename("/before", "/after").unwrap();

@@ -23,10 +23,6 @@ fn distinct_states_hash_distinct() {
     let (device, fs) = fresh_fs();
     let mut seen = std::collections::BTreeSet::new();
     let mut step = |label: &str| {
-        // Quiesce any open metadata batch first: a batched record is gated
-        // behind the watermark and would not count as part of the logical
-        // state yet (see the ARCKFS_BATCH gotcha in DESIGN.md §8).
-        fs.sync().unwrap();
         let fp = crashmc::fingerprint(&device).unwrap();
         assert!(seen.insert(fp), "state '{label}' collided with an earlier state");
     };
@@ -45,7 +41,6 @@ fn distinct_states_hash_distinct() {
     // Unlinking the file returns the namespace to the post-mkdir state;
     // the fingerprint must collapse back to that earlier value.
     fs.unlink("/d/b").unwrap();
-    fs.sync().unwrap();
     assert_eq!(
         crashmc::fingerprint(&device).unwrap(),
         fp_only_dir,
@@ -69,8 +64,6 @@ fn equal_states_hash_equal() {
     fs_b.mkdir("/d").unwrap();
     fs_b.write_file("/d/f", b"same content").unwrap();
 
-    fs_a.sync().unwrap();
-    fs_b.sync().unwrap();
     assert_eq!(
         crashmc::fingerprint(&dev_a).unwrap(),
         crashmc::fingerprint(&dev_b).unwrap(),
